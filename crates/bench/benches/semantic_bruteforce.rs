@@ -5,9 +5,11 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::collections::HashMap;
 use vqd_bench::genq::{path_query, path_views};
-use vqd_core::determinacy::parallel::check_exhaustive_parallel;
+use vqd_budget::Budget;
+use vqd_core::determinacy::parallel::check_exhaustive_ctx;
 use vqd_core::determinacy::semantic::check_exhaustive;
 use vqd_eval::{apply_views, eval_cq};
+use vqd_exec::ExecCtx;
 use vqd_instance::gen::InstanceEnumerator;
 use vqd_instance::Schema;
 use vqd_query::QueryExpr;
@@ -32,7 +34,8 @@ fn bench_bruteforce(c: &mut Criterion) {
             &3usize,
             |b, &n| {
                 b.iter(|| {
-                    check_exhaustive_parallel(views.as_view_set(), &qe, n, u128::MAX, threads)
+                    let cx = ExecCtx::with_parallelism(Budget::unlimited(), threads);
+                    check_exhaustive_ctx(views.as_view_set(), &qe, n, u128::MAX, &cx)
                 })
             },
         );

@@ -30,11 +30,9 @@ use vqd_bench::genq::{path_query, path_views};
 use vqd_budget::Budget;
 use vqd_chase::{v_inverse, v_inverse_indexed};
 use vqd_datalog::{eval_program_with, Program, Strategy};
-use vqd_eval::{apply_views, eval_cq, eval_cq_ctx, eval_cq_sharded};
-use vqd_exec::ExecCtx;
+use vqd_eval::{apply_views, eval_cq};
 use vqd_instance::{
-    index_stats, named, DomainNames, IndexMaintenance, IndexStats, Instance, NullGen, Relation,
-    Schema,
+    index_stats, named, DomainNames, IndexMaintenance, IndexStats, Instance, NullGen, Schema,
 };
 
 struct Args {
@@ -204,73 +202,6 @@ fn chase_case(s: &Schema, m: u32, probes: usize, reps: usize, agree: &mut bool) 
     ])
 }
 
-/// One parallel row: the certain-answer hot path — a fixed CQ over one
-/// chased canonical database — evaluated sequentially and `shards`-way
-/// sharded. Two parallel numbers are reported:
-///
-/// * `wall_ms` — honest wall time through the executor on this machine
-///   (a single-core box shows ≈1×: the shards time-slice one core);
-/// * `speedup_model` — the critical-path model `sequential / slowest
-///   shard`, with each shard timed alone on one thread: what the same
-///   fan-out yields once every shard has a core of its own. The model is
-///   exact for this workload because shards share nothing but the
-///   read-only index and the merge is a cheap ordered union.
-///
-/// Output equality is asserted three ways: shard-union vs sequential,
-/// executor result vs sequential, and executor result at every width.
-fn parallel_case(s: &Schema, m: u32, shards: usize, reps: usize, agree: &mut bool) -> Value {
-    let views = path_views(s, 2);
-    let extent = apply_views(views.as_view_set(), &chain(s, 2 * m));
-    let base = Instance::empty(s);
-    let budget = Budget::unlimited();
-    let mut nulls = NullGen::new();
-    let chased = v_inverse_indexed(&views, &base, &extent, &mut nulls, &budget)
-        .unwrap_or_else(|e| die(&format!("parallel chase m={m}: {e}")));
-    let q = path_query(s, 3);
-
-    let (seq_ms, _, seq_out) = measure(reps, || eval_cq(&q, &chased));
-
-    // Critical path: time every shard alone on this thread, so the model
-    // is independent of how many cores this box happens to have.
-    let mut shard_ms_max = 0f64;
-    let mut shard_ms_sum = 0f64;
-    let mut merged = Relation::new(q.arity());
-    for i in 0..shards {
-        let (ms, _, part) = measure(reps, || eval_cq_sharded(&q, &chased, i, shards));
-        shard_ms_max = shard_ms_max.max(ms);
-        shard_ms_sum += ms;
-        merged.union_with(&part);
-    }
-
-    // Honest wall time through the executor, real threads and all.
-    let ctx = ExecCtx::with_parallelism(budget.clone(), shards);
-    let (wall_ms, _, ctx_out) = measure(reps, || {
-        eval_cq_ctx(&q, &chased, &ctx)
-            .unwrap_or_else(|e| die(&format!("parallel eval shards={shards}: {e}")))
-    });
-
-    let same = merged == seq_out && ctx_out == seq_out;
-    *agree &= same;
-    let speedup_model = seq_ms / shard_ms_max.max(1e-9);
-    println!(
-        "parallel/certain-eval m={m} shards={shards}: sequential {seq_ms:.2}ms, \
-         wall {wall_ms:.2}ms, critical-path {shard_ms_max:.2}ms \
-         (model speedup {speedup_model:.2}x) — {}",
-        if same { "outputs agree" } else { "OUTPUTS DIFFER" },
-    );
-    Value::object([
-        ("workload", Value::from("parallel-certain-eval")),
-        ("shards", Value::from(shards)),
-        ("sequential_ms", Value::from(seq_ms)),
-        ("wall_ms", Value::from(wall_ms)),
-        ("shard_ms_max", Value::from(shard_ms_max)),
-        ("shard_ms_sum", Value::from(shard_ms_sum)),
-        ("speedup_model", Value::from(speedup_model)),
-        ("model", Value::from("critical-path")),
-        ("outputs_agree", Value::from(same)),
-    ])
-}
-
 fn main() {
     let args = parse_args();
     let s = Schema::new([("E", 2), ("T", 2)]);
@@ -299,11 +230,6 @@ fn main() {
     for &m in chase_sizes {
         chase_rows.push(chase_case(&s, m, probes, args.reps, &mut agree));
     }
-    let parallel_m: u32 = if args.smoke { 24 } else { 120 };
-    let mut parallel_rows = Vec::new();
-    for &shards in &[1usize, 2, 4, 8] {
-        parallel_rows.push(parallel_case(&s, parallel_m, shards, args.reps, &mut agree));
-    }
 
     // Disabled-path overhead witness: tracing was never enabled, so the
     // span guards in the chase/fixpoint loops must have stayed inert —
@@ -318,7 +244,6 @@ fn main() {
         ("smoke", Value::from(args.smoke)),
         ("datalog", Value::Arr(datalog_rows)),
         ("chase", Value::Arr(chase_rows)),
-        ("parallel", Value::Arr(parallel_rows)),
         ("outputs_agree", Value::from(agree)),
         (
             "obs",

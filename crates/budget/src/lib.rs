@@ -48,9 +48,14 @@ use std::time::{Duration, Instant};
 /// Cancellation is *cooperative*: setting the flag never interrupts
 /// anything by force; budgeted loops observe it at their next checkpoint
 /// and return [`Exhausted`] with [`ExhaustReason::Canceled`].
+///
+/// Tokens form a tree: a [`child`](CancelToken::child) observes its
+/// parent's cancellation, but cancelling the child never reaches the
+/// parent.
 #[derive(Clone, Debug, Default)]
 pub struct CancelToken {
     flag: Arc<AtomicBool>,
+    parent: Option<Arc<CancelToken>>,
 }
 
 impl CancelToken {
@@ -59,14 +64,21 @@ impl CancelToken {
         CancelToken::default()
     }
 
-    /// Requests cancellation. Idempotent; visible to every clone.
+    /// A fresh token that is canceled whenever `self` is, and that can
+    /// also be canceled on its own without affecting `self`.
+    pub fn child(&self) -> CancelToken {
+        CancelToken { flag: Arc::default(), parent: Some(Arc::new(self.clone())) }
+    }
+
+    /// Requests cancellation. Idempotent; visible to every clone and
+    /// every child, never to the parent.
     pub fn cancel(&self) {
         self.flag.store(true, Ordering::Relaxed);
     }
 
-    /// Whether cancellation has been requested.
+    /// Whether cancellation has been requested here or on an ancestor.
     pub fn is_canceled(&self) -> bool {
-        self.flag.load(Ordering::Relaxed)
+        self.flag.load(Ordering::Relaxed) || self.parent.as_ref().is_some_and(|p| p.is_canceled())
     }
 }
 
@@ -257,9 +269,11 @@ impl Budget {
     /// is the earlier of the two, and each counter limit is the smaller
     /// *remaining* allowance (a half-spent budget contributes only what
     /// it has left). Counters start at zero; cancellation authority comes
-    /// from `a` — the combined budget observes `a`'s [`CancelToken`], so
-    /// pass the governing (e.g. server-side) budget first and the
-    /// advisory (e.g. client-requested) one second.
+    /// from `a` — the combined budget holds a [`CancelToken::child`] of
+    /// `a`'s token, so pass the governing (e.g. server-side) budget first
+    /// and the advisory (e.g. client-requested) one second. Cancelling
+    /// the combined budget (as parallel shards do to stop their
+    /// siblings) stays inside it and never reaches `a`.
     ///
     /// This is how a service clamps a client-requested deadline against
     /// its own caps without reaching into either budget's fields.
@@ -276,7 +290,7 @@ impl Budget {
             |budget: &Budget| budget.trip_at.map(|at| at.saturating_sub(budget.steps()));
         Budget {
             counters: Arc::new(Counters::default()),
-            cancel: a.cancel.clone(),
+            cancel: a.cancel.child(),
             started: Instant::now(),
             deadline: opt_min(a.deadline, b.deadline),
             step_limit: opt_min(a.remaining_steps(), b.remaining_steps()),
@@ -582,6 +596,16 @@ mod tests {
         a.cancel_token().cancel();
         let e = c.checkpoint().expect_err("a's cancellation must be observed");
         assert_eq!(e.reason, ExhaustReason::Canceled);
+    }
+
+    #[test]
+    fn min_of_cancellation_never_flows_back_to_the_first_argument() {
+        let a = Budget::unlimited();
+        let c = Budget::min_of(&a, &Budget::unlimited());
+        c.cancel_token().cancel();
+        assert_eq!(c.checkpoint().map_err(|e| e.reason), Err(ExhaustReason::Canceled));
+        assert!(a.checkpoint().is_ok(), "a child's cancellation must stay in the child");
+        assert!(!a.cancel_token().is_canceled());
     }
 
     #[test]

@@ -56,19 +56,6 @@ pub fn certain_sound_ctx(
     certain_from_canonical(q, &chased, cx)
 }
 
-/// Deprecated spelling of [`certain_sound_ctx`]: that entry point
-/// accepts a bare `&Budget` directly (it is an [`ExecInput`]), so the
-/// `_budgeted` name survives only for out-of-tree callers of the
-/// historical API.
-pub fn certain_sound_budgeted(
-    views: &CqViews,
-    q: &Cq,
-    extent: &Instance,
-    budget: &vqd_budget::Budget,
-) -> Result<Relation, VqdError> {
-    certain_sound_ctx(views, q, extent, budget)
-}
-
 fn require_plain_cq(q: &Cq) -> Result<(), VqdError> {
     if q.language() != CqLang::Cq {
         return Err(VqdError::InvalidInput {
@@ -82,7 +69,7 @@ fn require_plain_cq(q: &Cq) -> Result<(), VqdError> {
 /// Chases the extent to the canonical database `V_∅^{-1}(E)`, returning
 /// the chase's maintained index.
 ///
-/// Split out of [`certain_sound_budgeted`] so a caller serving many
+/// Split out of [`certain_sound_ctx`] so a caller serving many
 /// queries against one extent (the server's cross-request cache) can pay
 /// the chase once, share the index, and run [`certain_from_canonical`]
 /// per query with zero further index builds. Nulls are drawn from a

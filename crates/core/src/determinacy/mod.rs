@@ -5,9 +5,7 @@ pub mod parallel;
 pub mod semantic;
 pub mod unrestricted;
 
-pub use parallel::{
-    check_exhaustive_ctx, check_exhaustive_parallel, check_exhaustive_parallel_budgeted,
-};
+pub use parallel::check_exhaustive_ctx;
 pub use semantic::{
     check_exhaustive, check_exhaustive_budgeted, check_random, check_random_budgeted,
     verify_counterexample, Counterexample, SemanticVerdict,

@@ -7,8 +7,9 @@
 //! maps on the engine's [`ExecPool`](vqd_exec::ExecPool); a merge pass
 //! compares overlapping images across shards.
 //!
-//! All shards draw down the context's shared [`Budget`]: a found
-//! counterexample short-circuits the scan through the budget's
+//! All shards draw down the context's shared
+//! [`Budget`](vqd_budget::Budget): a found counterexample
+//! short-circuits the scan through the budget's
 //! [`CancelToken`](vqd_budget::CancelToken) (the same token an external
 //! caller can trip to abort the whole check), and a budget trip in any
 //! shard surfaces as a single [`SemanticVerdict::Exhausted`] after all
@@ -20,10 +21,10 @@
 
 use crate::determinacy::semantic::{check_exhaustive_budgeted, Counterexample, SemanticVerdict};
 use std::collections::HashMap;
-use std::sync::{Arc, Mutex};
-use vqd_budget::{Budget, ExhaustReason, Exhausted, VqdError};
+use std::sync::Mutex;
+use vqd_budget::{ExhaustReason, Exhausted, VqdError};
 use vqd_eval::{apply_views, eval_query};
-use vqd_exec::{ExecCtx, ExecInput, ExecPool};
+use vqd_exec::{ExecCtx, ExecInput};
 use vqd_instance::gen::{instance_at, space_size};
 use vqd_instance::{Instance, Relation};
 use vqd_query::{QueryExpr, ViewSet};
@@ -37,12 +38,12 @@ fn lock_unpoisoned<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
 
 /// Exhaustive semantic determinacy check under an execution context —
 /// the canonical entry point behind
-/// [`check_exhaustive`](crate::determinacy::semantic::check_exhaustive),
-/// [`check_exhaustive_budgeted`], and the `_parallel` spellings.
+/// [`check_exhaustive`](crate::determinacy::semantic::check_exhaustive)
+/// and [`check_exhaustive_budgeted`].
 ///
-/// A sequential context (a bare [`Budget`] qualifies) runs the
-/// historical single-threaded scan, checkpoint for checkpoint. A
-/// parallel [`ExecCtx`] splits the instance space into
+/// A sequential context (a bare [`Budget`](vqd_budget::Budget)
+/// qualifies) runs the historical single-threaded scan, checkpoint for
+/// checkpoint. A parallel [`ExecCtx`] splits the instance space into
 /// `cx.parallelism()` contiguous ranges and scans them on the engine
 /// pool; a definitive counterexample always wins over exhaustion — if
 /// one shard refutes determinacy while another trips the budget, the
@@ -60,43 +61,6 @@ pub fn check_exhaustive_ctx(
     }
 }
 
-/// Parallel variant of
-/// [`check_exhaustive`](crate::determinacy::semantic::check_exhaustive):
-/// same contract, `threads`-way parallel scan, unlimited budget.
-/// Deprecated spelling of [`check_exhaustive_ctx`] with
-/// [`ExecCtx::with_parallelism`].
-pub fn check_exhaustive_parallel(
-    views: &ViewSet,
-    q: &QueryExpr,
-    n: usize,
-    limit: u128,
-    threads: usize,
-) -> Result<SemanticVerdict, VqdError> {
-    check_exhaustive_parallel_budgeted(views, q, n, limit, threads, &Budget::unlimited())
-}
-
-/// Budgeted `threads`-way exhaustive scan. Deprecated spelling of
-/// [`check_exhaustive_ctx`] with [`ExecCtx::on_pool`]; step/tuple
-/// limits still apply to the *total* work across shards, and cancelling
-/// the budget's token stops all of them at their next checkpoint.
-pub fn check_exhaustive_parallel_budgeted(
-    views: &ViewSet,
-    q: &QueryExpr,
-    n: usize,
-    limit: u128,
-    threads: usize,
-    budget: &Budget,
-) -> Result<SemanticVerdict, VqdError> {
-    if threads == 0 {
-        return Err(VqdError::InvalidInput {
-            context: "check_exhaustive_parallel",
-            message: "thread count must be at least 1".to_string(),
-        });
-    }
-    let cx = ExecCtx::on_pool(budget.clone(), threads, Arc::clone(ExecPool::global()));
-    check_exhaustive_ctx(views, q, n, limit, &cx)
-}
-
 /// The parallel scan body: disjoint contiguous index ranges, local
 /// image maps, shared budget, merge pass at the end.
 fn scan_sharded(
@@ -109,7 +73,7 @@ fn scan_sharded(
     let schema = views.input_schema();
     if q.schema() != schema {
         return Err(VqdError::SchemaMismatch {
-            context: "check_exhaustive_parallel",
+            context: "check_exhaustive_ctx",
             expected: format!("{schema:?}"),
             found: format!("{:?}", q.schema()),
         });
@@ -225,8 +189,13 @@ fn scan_sharded(
 mod tests {
     use super::*;
     use crate::determinacy::semantic::{check_exhaustive, verify_counterexample};
+    use vqd_budget::Budget;
     use vqd_instance::{DomainNames, Schema};
     use vqd_query::{parse_program, parse_query};
+
+    fn width(threads: usize, budget: &Budget) -> ExecCtx {
+        ExecCtx::with_parallelism(budget.clone(), threads)
+    }
 
     fn setup(view_src: &str, q_src: &str) -> (ViewSet, QueryExpr) {
         let s = Schema::new([("E", 2)]);
@@ -241,7 +210,8 @@ mod tests {
     fn parallel_agrees_with_sequential_positive() {
         let (v, q) = setup("V(x,y) :- E(x,y).", "Q(x,z) :- E(x,y), E(y,z).");
         for threads in [1, 2, 4] {
-            match check_exhaustive_parallel(&v, &q, 3, 1 << 26, threads).unwrap() {
+            let cx = width(threads, &Budget::unlimited());
+            match check_exhaustive_ctx(&v, &q, 3, 1 << 26, &cx).unwrap() {
                 SemanticVerdict::NoCounterexampleUpTo(3) => {}
                 other => panic!("threads={threads}: {other:?}"),
             }
@@ -257,7 +227,8 @@ mod tests {
         let seq = check_exhaustive(&v, &q, 3, 1 << 26);
         assert!(seq.is_refuted());
         for threads in [1, 2, 4] {
-            match check_exhaustive_parallel(&v, &q, 3, 1 << 26, threads).unwrap() {
+            let cx = width(threads, &Budget::unlimited());
+            match check_exhaustive_ctx(&v, &q, 3, 1 << 26, &cx).unwrap() {
                 SemanticVerdict::NotDetermined(c) => {
                     assert!(verify_counterexample(&v, &q, &c));
                 }
@@ -287,7 +258,7 @@ mod tests {
     fn parallel_respects_space_limit() {
         let (v, q) = setup("V(x,y) :- E(x,y).", "Q(x,y) :- E(x,y).");
         assert!(matches!(
-            check_exhaustive_parallel(&v, &q, 5, 100, 2).unwrap(),
+            check_exhaustive_ctx(&v, &q, 5, 100, &width(2, &Budget::unlimited())).unwrap(),
             SemanticVerdict::TooLarge { .. }
         ));
     }
@@ -298,28 +269,19 @@ mod tests {
         let other_schema = Schema::new([("P", 1)]);
         let mut names = DomainNames::new();
         let q = parse_query(&other_schema, &mut names, "Q(x) :- P(x).").unwrap();
-        match check_exhaustive_parallel(&v, &q, 2, 1 << 20, 2) {
+        match check_exhaustive_ctx(&v, &q, 2, 1 << 20, &width(2, &Budget::unlimited())) {
             Err(VqdError::SchemaMismatch { context, .. }) => {
-                assert_eq!(context, "check_exhaustive_parallel");
+                assert_eq!(context, "check_exhaustive_ctx");
             }
             other => panic!("expected SchemaMismatch, got {other:?}"),
         }
     }
 
     #[test]
-    fn zero_threads_is_an_error() {
-        let (v, q) = setup("V(x,y) :- E(x,y).", "Q(x,y) :- E(x,y).");
-        assert!(matches!(
-            check_exhaustive_parallel(&v, &q, 2, 1 << 20, 0),
-            Err(VqdError::InvalidInput { .. })
-        ));
-    }
-
-    #[test]
     fn budget_trip_yields_exhausted_with_progress() {
         let (v, q) = setup("V(x,y) :- E(x,y).", "Q(x,z) :- E(x,y), E(y,z).");
         let budget = Budget::unlimited().with_step_limit(10);
-        match check_exhaustive_parallel_budgeted(&v, &q, 3, 1 << 26, 2, &budget).unwrap() {
+        match check_exhaustive_ctx(&v, &q, 3, 1 << 26, &width(2, &budget)).unwrap() {
             SemanticVerdict::Exhausted(e) => {
                 assert_eq!(e.reason, ExhaustReason::StepLimit);
                 assert!(e.work_done.steps > 0);
@@ -328,7 +290,7 @@ mod tests {
         }
         // Retrying with a sufficient budget completes.
         let big = Budget::unlimited().with_step_limit(1 << 20);
-        match check_exhaustive_parallel_budgeted(&v, &q, 3, 1 << 26, 2, &big).unwrap() {
+        match check_exhaustive_ctx(&v, &q, 3, 1 << 26, &width(2, &big)).unwrap() {
             SemanticVerdict::NoCounterexampleUpTo(3) => {}
             other => panic!("expected completion, got {other:?}"),
         }
@@ -339,7 +301,7 @@ mod tests {
         let (v, q) = setup("V(x,y) :- E(x,y).", "Q(x,z) :- E(x,y), E(y,z).");
         let budget = Budget::unlimited();
         budget.cancel_token().cancel();
-        match check_exhaustive_parallel_budgeted(&v, &q, 3, 1 << 26, 2, &budget).unwrap() {
+        match check_exhaustive_ctx(&v, &q, 3, 1 << 26, &width(2, &budget)).unwrap() {
             SemanticVerdict::Exhausted(e) => {
                 assert_eq!(e.reason, ExhaustReason::Canceled);
             }

@@ -14,7 +14,7 @@
 //! for `≠` or negation; the entry points check and panic, since a silent
 //! wrong answer here would poison every determinacy result downstream.
 
-use crate::cq_eval::{eval_cq, eval_cq_with_index, eval_ucq, normalize_eqs};
+use crate::cq_eval::{eval_cq, eval_ucq, normalize_eqs};
 use std::collections::BTreeMap;
 use vqd_budget::Budget;
 use vqd_instance::{IndexedInstance, Instance, NullGen, Value};
@@ -166,7 +166,7 @@ pub fn contained_bounded_budgeted(
         vqd_obs::count(vqd_obs::Metric::ContainmentInstancesChecked, 1);
         // One index serves both sides of the subset test.
         let idx = IndexedInstance::new(d);
-        if !eval_cq_with_index(q1, &idx).is_subset(&eval_cq_with_index(q2, &idx)) {
+        if !eval_cq(q1, &idx).is_subset(&eval_cq(q2, &idx)) {
             return BoundedContainment::Refuted(Box::new(idx.into_instance()));
         }
     }

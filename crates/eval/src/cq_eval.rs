@@ -113,13 +113,6 @@ pub fn eval_cq<I: EvalInput + ?Sized>(q: &Cq, input: &I) -> Relation {
     eval_cq_core(q, &input.index())
 }
 
-/// [`eval_cq`] against a prebuilt index. Deprecated spelling: `eval_cq`
-/// now accepts an [`IndexedInstance`] directly — this wrapper survives
-/// only for out-of-tree callers of the historical paired API.
-pub fn eval_cq_with_index(q: &Cq, index: &IndexedInstance) -> Relation {
-    eval_cq_core(q, index)
-}
-
 fn eval_cq_core(q: &Cq, index: &IndexedInstance) -> Relation {
     eval_cq_shard(q, index, 0, 1)
 }
@@ -129,7 +122,7 @@ fn eval_cq_core(q: &Cq, index: &IndexedInstance) -> Relation {
 /// [`for_each_hom_sharded`]). The per-shard results union — in any
 /// order, since [`Relation`] stores tuples canonically — to exactly
 /// [`eval_cq`]'s answer; this is the work unit the parallel evaluator
-/// and the fixpoint bench fan out.
+/// fans out.
 pub fn eval_cq_sharded(
     q: &Cq,
     index: &IndexedInstance,
@@ -193,12 +186,6 @@ pub fn eval_ucq<I: EvalInput + ?Sized>(u: &Ucq, input: &I) -> Relation {
         out.union_with(&eval_cq_core(disjunct, &index));
     }
     out
-}
-
-/// [`eval_ucq`] against a prebuilt index. Deprecated spelling: pass the
-/// index to [`eval_ucq`] directly.
-pub fn eval_ucq_with_index(u: &Ucq, index: &IndexedInstance) -> Relation {
-    eval_ucq(u, index)
 }
 
 /// [`eval_cq`] under an execution context: with a parallel

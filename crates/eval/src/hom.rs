@@ -265,25 +265,7 @@ pub fn instance_hom<I: EvalInput + ?Sized>(
     tgt: &I,
     fix: &[Value],
 ) -> Option<BTreeMap<Value, Value>> {
-    let index = tgt.index();
-    instance_hom_core(src, &index, fix)
-}
-
-/// [`instance_hom`] against a prebuilt target index. Deprecated
-/// spelling: pass the index to [`instance_hom`] directly.
-pub fn instance_hom_with_index(
-    src: &Instance,
-    tgt: &IndexedInstance,
-    fix: &[Value],
-) -> Option<BTreeMap<Value, Value>> {
-    instance_hom_core(src, tgt, fix)
-}
-
-fn instance_hom_core(
-    src: &Instance,
-    tgt: &IndexedInstance,
-    fix: &[Value],
-) -> Option<BTreeMap<Value, Value>> {
+    let tgt = tgt.index();
     assert_eq!(
         src.schema(),
         tgt.instance().schema(),
@@ -308,7 +290,7 @@ fn instance_hom_core(
             atoms.push(Atom::new(rel, args));
         }
     }
-    let asg = find_hom(&atoms, tgt, &Assignment::new())?;
+    let asg = find_hom(&atoms, &tgt, &Assignment::new())?;
     let mut out: BTreeMap<Value, Value> = fix.iter().map(|&v| (v, v)).collect();
     for (value, var) in var_of {
         out.insert(value, asg[&var]);

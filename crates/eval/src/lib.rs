@@ -41,18 +41,16 @@ pub use containment::{
     cq_equivalent, freeze, ucq_contained, ucq_equivalent, BoundedContainment,
 };
 pub use cq_eval::{
-    eval_cq, eval_cq_ctx, eval_cq_sharded, eval_cq_with_index, eval_ucq, eval_ucq_ctx,
-    eval_ucq_with_index, normalize_eqs,
+    eval_cq, eval_cq_ctx, eval_cq_sharded, eval_ucq, eval_ucq_ctx, normalize_eqs,
 };
 pub use fo_eval::{eval_fo, eval_fo_budgeted, evaluation_universe};
 pub use hom::{
-    find_hom, for_each_hom, for_each_hom_sharded, hom_exists, instance_hom,
-    instance_hom_with_index, Assignment, Ordering,
+    find_hom, for_each_hom, for_each_hom_sharded, hom_exists, instance_hom, Assignment,
+    Ordering,
 };
 pub use input::{EvalInput, IndexCow};
 pub use minimize::{minimize_cq, minimize_cq_exhaustive, minimize_ucq};
 pub use monotone::{find_nonmonotone_witness, monotone_on_pair, NonMonotoneWitness};
 pub use view_eval::{
-    apply_views, apply_views_ctx, apply_views_with_index, eval_query, eval_query_ctx,
-    eval_query_with_index,
+    apply_views, apply_views_ctx, eval_query, eval_query_ctx,
 };

@@ -9,7 +9,7 @@ use crate::fo_eval::eval_fo;
 use crate::input::EvalInput;
 use vqd_budget::VqdError;
 use vqd_exec::ExecInput;
-use vqd_instance::{IndexedInstance, Instance, Relation};
+use vqd_instance::{Instance, Relation};
 use vqd_query::{QueryExpr, ViewSet};
 
 /// Evaluates any query expression on any [`EvalInput`]. The FO evaluator
@@ -24,12 +24,6 @@ pub fn eval_query<I: EvalInput + ?Sized>(q: &QueryExpr, input: &I) -> Relation {
         // directly so a bare-instance input pays no index build here.
         QueryExpr::Fo(f) => eval_fo(f, input.instance()),
     }
-}
-
-/// [`eval_query`] against a prebuilt index. Deprecated spelling: pass the
-/// index to [`eval_query`] directly.
-pub fn eval_query_with_index(q: &QueryExpr, index: &IndexedInstance) -> Relation {
-    eval_query(q, index)
 }
 
 /// Computes the view image `V(D)` as an instance over `σ_V`, sharing one
@@ -56,12 +50,6 @@ pub fn apply_views<I: EvalInput + ?Sized>(views: &ViewSet, input: &I) -> Instanc
         }
     }
     out
-}
-
-/// [`apply_views`] against a prebuilt index. Deprecated spelling: pass
-/// the index to [`apply_views`] directly.
-pub fn apply_views_with_index(views: &ViewSet, index: &IndexedInstance) -> Instance {
-    apply_views(views, index)
 }
 
 /// [`eval_query`] under an execution context: the conjunctive arms fan

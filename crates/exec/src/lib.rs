@@ -171,10 +171,13 @@ impl PoolInner {
 /// of the caller's stack are sound and the pool can never deadlock on
 /// its own submissions (even when nested: the caller always makes
 /// progress on its own batch).
+///
+/// The threads start on the first batch, so a pool that never fans out
+/// (a server at the default `--engine-threads 1`) costs no threads.
 pub struct ExecPool {
     inner: Arc<PoolInner>,
     threads: usize,
-    handles: Mutex<Vec<thread::JoinHandle<()>>>,
+    handles: OnceLock<Vec<thread::JoinHandle<()>>>,
 }
 
 impl std::fmt::Debug for ExecPool {
@@ -184,24 +187,27 @@ impl std::fmt::Debug for ExecPool {
 }
 
 impl ExecPool {
-    /// Spawns a pool with `threads` engine threads (clamped to ≥ 1).
+    /// A pool of `threads` engine threads (clamped to ≥ 1), spawned on
+    /// the first batch.
     pub fn new(threads: usize) -> ExecPool {
-        let threads = threads.max(1);
         let inner = Arc::new(PoolInner {
             queue: Mutex::new(VecDeque::new()),
             ready: Condvar::new(),
             shutdown: AtomicBool::new(false),
         });
-        let handles = (0..threads)
+        ExecPool { inner, threads: threads.max(1), handles: OnceLock::new() }
+    }
+
+    fn spawn_threads(&self) -> Vec<thread::JoinHandle<()>> {
+        (0..self.threads)
             .map(|i| {
-                let inner = Arc::clone(&inner);
+                let inner = Arc::clone(&self.inner);
                 thread::Builder::new()
                     .name(format!("vqd-exec-{i}"))
                     .spawn(move || inner.worker())
                     .expect("spawn engine thread")
             })
-            .collect();
-        ExecPool { inner, threads, handles: Mutex::new(handles) }
+            .collect()
     }
 
     /// Number of engine threads — doubles as the server's clamp cap for
@@ -229,6 +235,7 @@ impl ExecPool {
         if tasks.is_empty() {
             return;
         }
+        self.handles.get_or_init(|| self.spawn_threads());
         // SAFETY: the boxed closures only borrow data that outlives this
         // call. Every task is run to completion before `run_scoped`
         // returns: the caller claims from its own batch until the
@@ -263,7 +270,7 @@ impl Drop for ExecPool {
     fn drop(&mut self) {
         self.inner.shutdown.store(true, Ordering::Release);
         self.inner.ready.notify_all();
-        for handle in lock(&self.handles).drain(..) {
+        for handle in self.handles.take().into_iter().flatten() {
             let _ = handle.join();
         }
     }

@@ -26,8 +26,9 @@
 //!
 //! Counters (`cache.hits`/`cache.misses`/`cache.evictions`/`cache.puts`)
 //! and gauges (`cache.entries`/`cache.bytes`) are mirrored into the
-//! server's observability [`Registry`] so `stats` and BENCH_server.json
-//! see them without a separate plumbing path.
+//! server's observability [`Registry`] so `stats` and the benchmark
+//! (`python3 perfbench/run.py`) see them without a separate plumbing
+//! path.
 //!
 //! With [`CacheConfig::disk`] set, a crash-only [`DiskTier`] backs the
 //! RAM LRU: `insert_index` writes through to an append-only segment, a

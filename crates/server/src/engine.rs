@@ -5,7 +5,7 @@
 //! violations, and schema mismatches come back as structured
 //! [`Outcome::Error`]s; budget trips come back as
 //! [`Outcome::Exhausted`] with the engine's own partial-progress
-//! message. Workers additionally wrap [`execute`] in `catch_unwind`, so
+//! message. Workers additionally wrap [`execute_ctx`] in `catch_unwind`, so
 //! even a server-side bug degrades to an `internal` error instead of a
 //! dead worker.
 
@@ -179,29 +179,12 @@ fn attribute(fragment: Option<Fragment>, ctx: &EngineCtx, routed: bool) -> Optio
     Some(fragment.wire_note())
 }
 
-/// Executes one request under `budget`, sequentially. Never panics on
-/// bad input; may panic only on a genuine engine bug (callers wrap in
-/// `catch_unwind`).
-///
-/// Deprecated spelling of [`execute_ctx`] with a sequential context;
-/// embedded callers and most tests only care about the outcome.
-pub fn execute(request: &Request, budget: &Budget, ctx: &EngineCtx) -> Outcome {
-    execute_ctx(request, &ExecCtx::sequential(budget.clone()), ctx)
-}
-
-/// [`execute_attributed_ctx`] without the fragment note.
+/// Executes one request under `exec`'s budget and parallelism. Never
+/// panics on bad input; may panic only on a genuine engine bug (callers
+/// wrap in `catch_unwind`). [`execute_attributed_ctx`] without the
+/// fragment note.
 pub fn execute_ctx(request: &Request, exec: &ExecCtx, ctx: &EngineCtx) -> Outcome {
     execute_attributed_ctx(request, exec, ctx).0
-}
-
-/// Deprecated spelling of [`execute_attributed_ctx`] with a sequential
-/// context.
-pub fn execute_attributed(
-    request: &Request,
-    budget: &Budget,
-    ctx: &EngineCtx,
-) -> (Outcome, Option<&'static str>) {
-    execute_attributed_ctx(request, &ExecCtx::sequential(budget.clone()), ctx)
 }
 
 /// [`execute_ctx`] plus the router's per-request fragment attribution:
@@ -289,7 +272,7 @@ fn execute_unattributed(request: &Request, exec: &ExecCtx, ctx: &EngineCtx) -> O
             Outcome::ShuttingDown
         }
         Request::Decide { .. } | Request::Rewrite { .. } | Request::Classify { .. } => {
-            unreachable!("attributed ops are handled by execute_attributed")
+            unreachable!("attributed ops are handled by execute_attributed_ctx")
         }
         Request::Certain { schema, views, query, extent } => {
             run_certain(schema, views, query, extent, exec)
@@ -676,6 +659,10 @@ mod tests {
         EngineCtx::new(CancelToken::new())
     }
 
+    fn seq() -> ExecCtx {
+        ExecCtx::sequential(Budget::unlimited())
+    }
+
     fn decide_req(views: &str, query: &str) -> Request {
         Request::Decide {
             schema: "E/2,P/1".into(),
@@ -686,9 +673,9 @@ mod tests {
 
     #[test]
     fn decide_path_pair_is_determined_with_rewriting() {
-        let out = execute(
+        let out = execute_ctx(
             &decide_req("V(x,y) :- E(x,y).", "Q(x,z) :- E(x,y), E(y,z)."),
-            &Budget::unlimited(),
+            &seq(),
             &ctx(),
         );
         match out {
@@ -701,9 +688,9 @@ mod tests {
 
     #[test]
     fn parse_failures_are_structured_errors() {
-        let out = execute(
+        let out = execute_ctx(
             &decide_req("V(x,y) :- E(x,y).", "Q(x :- garbage"),
-            &Budget::unlimited(),
+            &seq(),
             &ctx(),
         );
         match out {
@@ -712,13 +699,13 @@ mod tests {
             }
             other => panic!("unexpected outcome {other:?}"),
         }
-        let out = execute(
+        let out = execute_ctx(
             &Request::Decide {
                 schema: "E/bad".into(),
                 views: String::new(),
                 query: String::new(),
             },
-            &Budget::unlimited(),
+            &seq(),
             &ctx(),
         );
         assert!(matches!(out, Outcome::Error { kind: ErrorKind::Parse, .. }));
@@ -726,9 +713,9 @@ mod tests {
 
     #[test]
     fn non_cq_views_are_invalid_input() {
-        let out = execute(
+        let out = execute_ctx(
             &decide_req("V(x) :- E(x,y), !P(y).", "Q(x) :- P(x)."),
-            &Budget::unlimited(),
+            &seq(),
             &ctx(),
         );
         assert!(
@@ -739,7 +726,7 @@ mod tests {
 
     #[test]
     fn exhaustion_is_an_outcome_not_an_error() {
-        let out = execute(
+        let out = execute_ctx(
             &Request::Finite {
                 schema: "E/2".into(),
                 views: "V(x,y) :- E(x,z), E(z,y).".into(),
@@ -747,7 +734,7 @@ mod tests {
                 max_domain: 3,
                 space_limit: 1 << 22,
             },
-            &Budget::unlimited().with_step_limit(2),
+            &ExecCtx::sequential(Budget::unlimited().with_step_limit(2)),
             &ctx(),
         );
         match out {
@@ -792,14 +779,14 @@ mod tests {
 
     #[test]
     fn certain_answers_on_identity_views() {
-        let out = execute(
+        let out = execute_ctx(
             &Request::Certain {
                 schema: "E/2".into(),
                 views: "V(x,y) :- E(x,y).".into(),
                 query: "Q(x,z) :- E(x,y), E(y,z).".into(),
                 extent: "V(A,B). V(B,C).".into(),
             },
-            &Budget::unlimited(),
+            &seq(),
             &ctx(),
         );
         match out {
@@ -814,9 +801,9 @@ mod tests {
     #[test]
     fn handle_extents_answer_identically_to_inline_and_then_hit() {
         let c = ctx();
-        let put = execute(
+        let put = execute_ctx(
             &Request::PutInstance { schema: "V/2".into(), extent: "V(A,B). V(B,C).".into() },
-            &Budget::unlimited(),
+            &seq(),
             &c,
         );
         let Outcome::InstancePut { handle, tuples: 2, .. } = put else {
@@ -836,9 +823,9 @@ mod tests {
                 handle: h.into(),
             },
         };
-        let inline = execute(&certain(None), &Budget::unlimited(), &c);
-        let miss = execute(&certain(Some(&handle)), &Budget::unlimited(), &c);
-        let hit = execute(&certain(Some(&handle)), &Budget::unlimited(), &c);
+        let inline = execute_ctx(&certain(None), &seq(), &c);
+        let miss = execute_ctx(&certain(Some(&handle)), &seq(), &c);
+        let hit = execute_ctx(&certain(Some(&handle)), &seq(), &c);
         assert_eq!(inline, miss, "handle answers must match inline answers");
         assert_eq!(miss, hit, "cache hits must not change the verdict");
         let stats = c.cache.stats();
@@ -848,23 +835,23 @@ mod tests {
     #[test]
     fn unknown_handles_are_typed_errors_and_evict_reports_absence() {
         let c = ctx();
-        let out = execute(
+        let out = execute_ctx(
             &Request::CertainHandle {
                 schema: "E/2".into(),
                 views: "V(x,y) :- E(x,y).".into(),
                 query: "Q(x) :- E(x,y).".into(),
                 handle: "h999".into(),
             },
-            &Budget::unlimited(),
+            &seq(),
             &c,
         );
         assert!(
             matches!(out, Outcome::Error { kind: ErrorKind::UnknownHandle, .. }),
             "got {out:?}"
         );
-        let out = execute(
+        let out = execute_ctx(
             &Request::EvictInstance { handle: "h999".into() },
-            &Budget::unlimited(),
+            &seq(),
             &c,
         );
         assert_eq!(out, Outcome::Evicted { handle: "h999".into(), existed: false });
@@ -879,10 +866,10 @@ mod tests {
             query: "Q(x,z) :- E(x,y), E(y,z).".into(),
             extent: "V(A,B). V(B,C). V(C,D).".into(),
         };
-        let seq = execute(&req, &Budget::unlimited(), &c);
+        let sequential = execute_ctx(&req, &seq(), &c);
         let exec = ExecCtx::with_parallelism(Budget::unlimited(), 4);
         let par = execute_ctx(&req, &exec, &c);
-        assert_eq!(seq, par, "parallel outcomes must be byte-identical");
+        assert_eq!(sequential, par, "parallel outcomes must be byte-identical");
         assert_eq!(exec.threads_used(), 4, "the certain eval must fan out");
         // The semantic scan fans out too, with the same verdict.
         let sem = Request::Semantic {
@@ -892,9 +879,9 @@ mod tests {
             domain: 2,
             space_limit: 1 << 20,
         };
-        let seq = execute(&sem, &Budget::unlimited(), &c);
+        let sequential = execute_ctx(&sem, &seq(), &c);
         let exec = ExecCtx::with_parallelism(Budget::unlimited(), 2);
-        assert_eq!(seq, execute_ctx(&sem, &exec, &c));
+        assert_eq!(sequential, execute_ctx(&sem, &exec, &c));
         assert_eq!(exec.threads_used(), 2);
     }
 
@@ -902,7 +889,7 @@ mod tests {
     fn shutdown_trips_the_token() {
         let c = ctx();
         assert!(!c.shutdown.is_canceled());
-        let out = execute(&Request::Shutdown, &Budget::unlimited(), &c);
+        let out = execute_ctx(&Request::Shutdown, &seq(), &c);
         assert_eq!(out, Outcome::ShuttingDown);
         assert!(c.shutdown.is_canceled());
     }

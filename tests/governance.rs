@@ -14,17 +14,23 @@
 use vqd::budget::{Budget, ExhaustReason, Exhausted, VqdError};
 use vqd::chase::{v_inverse_budgeted, CqViews, Tower};
 use vqd::core::determinacy::{
-    check_exhaustive_budgeted, check_exhaustive_parallel_budgeted, decide_finite_budgeted,
+    check_exhaustive_budgeted, check_exhaustive_ctx, decide_finite_budgeted,
     decide_unrestricted_budgeted, FiniteVerdict, SemanticVerdict,
 };
 use vqd::datalog::{eval_program_budgeted, EvalError, Strategy};
 use vqd::eval::{
     apply_views, contained_bounded_budgeted, eval_fo_budgeted, BoundedContainment,
 };
+use vqd::exec::ExecCtx;
 use vqd::instance::{DomainNames, Instance, NullGen, Schema};
 use vqd::query::{
     cq_to_fo, parse_instance, parse_program, parse_query, Cq, QueryExpr, ViewSet,
 };
+
+/// A width-2 parallel context drawing down `budget`.
+fn width_2(budget: &Budget) -> ExecCtx {
+    ExecCtx::with_parallelism(budget.clone(), 2)
+}
 
 /// Cap on how many distinct trip points a single sweep exercises; long
 /// engines are sampled evenly rather than swept exhaustively.
@@ -134,8 +140,8 @@ fn parallel_search_survives_faults_without_poisoned_locks() {
     );
     let vs = views.as_view_set().clone();
     let q = QueryExpr::Cq(q);
-    fault_sweep("check_exhaustive_parallel", |b| {
-        match check_exhaustive_parallel_budgeted(&vs, &q, 2, 1 << 22, 2, b) {
+    fault_sweep("check_exhaustive_ctx (width 2)", |b| {
+        match check_exhaustive_ctx(&vs, &q, 2, 1 << 22, &width_2(b)) {
             Ok(SemanticVerdict::Exhausted(e)) | Err(VqdError::Exhausted(e)) => Err(e),
             Ok(SemanticVerdict::NotDetermined(_)) => Ok("NotDetermined"),
             Ok(SemanticVerdict::NoCounterexampleUpTo(_)) => Ok("NoCounterexample"),
@@ -370,7 +376,7 @@ fn cancellation_is_cooperative_and_recoverable() {
 
     let budget = Budget::unlimited();
     budget.cancel_token().cancel();
-    match check_exhaustive_parallel_budgeted(&vs, &q, 2, 1 << 22, 2, &budget) {
+    match check_exhaustive_ctx(&vs, &q, 2, 1 << 22, &width_2(&budget)) {
         Ok(SemanticVerdict::Exhausted(e)) => {
             assert_eq!(e.reason, ExhaustReason::Canceled);
         }
@@ -378,7 +384,7 @@ fn cancellation_is_cooperative_and_recoverable() {
     }
 
     // A fresh budget on the same inputs completes normally.
-    match check_exhaustive_parallel_budgeted(&vs, &q, 2, 1 << 22, 2, &Budget::unlimited()) {
+    match check_exhaustive_ctx(&vs, &q, 2, 1 << 22, &width_2(&Budget::unlimited())) {
         Ok(SemanticVerdict::NoCounterexampleUpTo(2)) => {}
         other => panic!("recovery run failed: {other:?}"),
     }

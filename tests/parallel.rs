@@ -8,9 +8,8 @@
 //!   random corpus, and the semantic counterexample scan are
 //!   byte-identical between a sequential context and every parallel
 //!   width, including how exhaustion surfaces;
-//! * **Unification** — a bare `&Budget`, `ExecCtx::sequential`, a
-//!   parallelism-1 context, and the deprecated `*_budgeted` /
-//!   `*_parallel` spellings all produce the same bytes;
+//! * **Unification** — a bare `&Budget`, `ExecCtx::sequential`, and a
+//!   parallelism-1 context all produce the same bytes;
 //! * **Governance** — a fault-injection sweep trips the shared budget
 //!   at sampled checkpoints under parallel contexts: no panic, a
 //!   structured `Exhausted` with exact (certain) or tightly bounded
@@ -23,23 +22,23 @@
 //! * **Wire** — a server spawned with `engine_threads` clamps the
 //!   envelope's requested `parallelism` and reports honest
 //!   `threads_used` in the work envelope, with outcomes identical to
-//!   a sequential request.
+//!   a sequential request; a shard cancelling its siblings never drains
+//!   the server, while a server shutdown still cancels parallel work.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use vqd::budget::{Budget, ExhaustReason, VqdError};
 use vqd::chase::CqViews;
-use vqd::core::certain::{certain_sound_budgeted, certain_sound_ctx};
+use vqd::core::certain::certain_sound_ctx;
 use vqd::core::determinacy::{
-    check_exhaustive_budgeted, check_exhaustive_ctx, check_exhaustive_parallel_budgeted,
-    verify_counterexample, SemanticVerdict,
+    check_exhaustive_budgeted, check_exhaustive_ctx, verify_counterexample, SemanticVerdict,
 };
 use vqd::eval::{apply_views, eval_cq_ctx};
 use vqd::exec::ExecCtx;
 use vqd::instance::{named, DomainNames, Instance, Relation, Schema};
 use vqd::obs::{Metric, MetricsSnapshot};
 use vqd::query::{parse_program, parse_query, Cq, QueryExpr, ViewSet};
-use vqd::server::{self, Client, Envelope, Limits, Request, ServerCaps, ServerConfig};
+use vqd::server::{self, Client, Envelope, Limits, Outcome, Request, ServerCaps, ServerConfig};
 use vqd_bench::genq::{path_query, path_views, random_cq, CqGen};
 
 /// Parallel widths every determinism assertion is swept over.
@@ -189,7 +188,7 @@ fn parallel_semantic_scan_agrees_with_sequential() {
 // ---------------------------------------------------------------------
 
 #[test]
-fn sequential_spellings_and_deprecated_wrappers_agree() {
+fn sequential_spellings_agree() {
     let s = schema();
     let (views, q, extent) = certain_workload(&s, 7);
     let bare = certain_sound_ctx(&views, &q, &extent, &Budget::unlimited()).unwrap();
@@ -205,23 +204,6 @@ fn sequential_spellings_and_deprecated_wrappers_agree() {
     let one = ExecCtx::with_parallelism(Budget::unlimited(), 1);
     assert_eq!(certain_sound_ctx(&views, &q, &extent, &one).unwrap(), bare);
     assert_eq!(one.threads_used(), 0, "width 1 is sequential: no fan-out");
-    // The historical `_budgeted` spelling is a thin wrapper.
-    let old = certain_sound_budgeted(&views, &q, &extent, &Budget::unlimited()).unwrap();
-    assert_eq!(old, bare);
-    // The historical explicit-thread-count scan entry point agrees with
-    // the context-carrying one at every width.
-    let (v, sq) = semantic_workload("V(x,y) :- E(x,y).", "Q(x,z) :- E(x,y), E(y,z).");
-    let ctx_verdict = check_exhaustive_ctx(&v, &sq, 2, 1 << 22, &Budget::unlimited()).unwrap();
-    for threads in [1usize, 2, 4] {
-        let old =
-            check_exhaustive_parallel_budgeted(&v, &sq, 2, 1 << 22, threads, &Budget::unlimited())
-                .unwrap();
-        assert_eq!(
-            format!("{old:?}"),
-            format!("{ctx_verdict:?}"),
-            "threads={threads}"
-        );
-    }
 }
 
 // ---------------------------------------------------------------------
@@ -434,4 +416,71 @@ fn server_clamps_requested_parallelism_and_reports_threads_used() {
         "requested width 8 must clamp to the server's 3 engine threads"
     );
     let _ = handle.shutdown();
+}
+
+#[test]
+fn parallel_sibling_cancellation_never_reaches_the_server() {
+    let handle = server::spawn(ServerConfig {
+        addr: "127.0.0.1:0".to_owned(),
+        workers: 2,
+        queue_depth: 16,
+        caps: ServerCaps { engine_threads: 2, ..Default::default() },
+    })
+    .expect("spawn server");
+    let mut client = Client::connect(handle.addr()).expect("connect");
+    let width_2 = |id: &str, limits: Limits, request: Request| {
+        Envelope::new(id, limits, request).with_parallelism(2).to_json().to_string()
+    };
+    // Trigger 1: a width-2 certain request that trips its step limit.
+    let certain = Request::Certain {
+        schema: "E/2".to_owned(),
+        views: "V(x,y) :- E(x,z), E(z,y).".to_owned(),
+        query: "Q(x,y) :- E(x,a), E(a,b), E(b,y).".to_owned(),
+        extent: "V(A,B). V(B,C). V(C,D). V(D,E). V(E,F).".to_owned(),
+    };
+    let limits = Limits { step_limit: Some(3), ..Limits::none() };
+    let reply = client.call_raw(&width_2("trip", limits, certain)).expect("certain call");
+    assert!(
+        matches!(reply.outcome, Outcome::Exhausted { .. }),
+        "step limit 3 must trip, got {:?}",
+        reply.outcome
+    );
+    assert!(client.ping().expect("ping after a tripped parallel request"));
+    // Trigger 2: a width-2 scan whose shard finds a counterexample and
+    // cancels its sibling.
+    let scan = Request::Semantic {
+        schema: "E/2".to_owned(),
+        views: "V(x) :- E(x,y).".to_owned(),
+        query: "Q(x,y) :- E(x,y).".to_owned(),
+        domain: 3,
+        space_limit: 1 << 20,
+    };
+    let reply = client.call_raw(&width_2("scan", Limits::none(), scan)).expect("scan call");
+    match &reply.outcome {
+        Outcome::SemanticOutcome { verdict, .. } => assert_eq!(verdict, "not-determined"),
+        other => panic!("the scan must refute determinacy, got {other:?}"),
+    }
+    assert_eq!(reply.work.threads_used, 2, "the scan must fan out");
+    assert!(client.ping().expect("ping after a refuting parallel scan"));
+    assert!(!handle.is_shutting_down(), "a request's siblings must not drain the server");
+    // Shutdown authority still reaches parallel work admitted before it:
+    // a width-2 scan of 2^15 instances is cancelled, not completed.
+    let slow = Request::Semantic {
+        schema: "E/2,P/1,R/1".to_owned(),
+        views: "V(x,y) :- E(x,y). W(x) :- P(x). U(x) :- R(x).".to_owned(),
+        query: "Q(x,z) :- E(x,y), E(y,z), P(x), R(z).".to_owned(),
+        domain: 3,
+        space_limit: 1 << 20,
+    };
+    let line = width_2("slow", Limits::none(), slow);
+    let accepted = handle.metrics().accepted;
+    let in_flight = std::thread::spawn(move || client.call_raw(&line).expect("slow call"));
+    while handle.metrics().accepted == accepted {
+        std::thread::yield_now();
+    }
+    let _ = handle.shutdown();
+    match in_flight.join().expect("client thread").outcome {
+        Outcome::Exhausted { reason, .. } => assert!(reason.contains("cancel"), "{reason}"),
+        other => panic!("shutdown must cancel the parallel scan, got {other:?}"),
+    }
 }
